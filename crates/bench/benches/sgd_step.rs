@@ -6,7 +6,8 @@
 //! (`d = 27,354`, im2col-dominated `Tc`), and the PR 4 sparse
 //! logistic-regression instance (native sparse gradients). Algorithms:
 //! SEQ-style locked, HOGWILD!, Leashed-SGD, and sharded Leashed-SGD at
-//! the heuristic shard count.
+//! the heuristic shard count — every row one generic step over the
+//! store's [`ParamStore`] read and publish, as in the trainer.
 //!
 //! The `*_prepr/` rows re-run the NN workloads on the **ablation
 //! baseline** ([`ComputeOpts::baseline`]: fresh packing per GEMM, serial
@@ -30,7 +31,7 @@ use lsgd_core::mem::MemoryGauge;
 use lsgd_core::pool::BufferPool;
 use lsgd_core::prelude::*;
 use lsgd_core::shard::default_shards;
-use lsgd_core::{LeashedShared, ShardedShared};
+use lsgd_core::{LeashedShared, ParamStore, ShardedShared, Update};
 use lsgd_data::sparse_logreg::sparse_logreg;
 use lsgd_data::SynthDigits;
 use lsgd_nn::ComputeOpts;
@@ -43,82 +44,80 @@ use std::time::{Duration, Instant};
 /// timing mid-measurement).
 const ETA: f32 = 1e-4;
 
-/// One shared-parameter backend per benchmarked algorithm.
-#[allow(clippy::large_enum_variant)] // one long-lived instance per bench run; size is irrelevant
-enum Shared {
-    Locked(LockedParams),
-    Hog(HogwildParams),
-    Leashed(LeashedShared),
-    Sharded(ShardedShared),
-}
-
-impl Shared {
-    fn build(kind: &str, theta0: &[f32], workers_hint: usize) -> Shared {
+/// Builds the store benchmarked under `$kind` and evaluates `$body` with
+/// it bound to `$store` — once per store type, so every row runs the
+/// same generic [`step`].
+macro_rules! with_store {
+    ($kind:expr, $theta0:expr, $workers:expr, |$store:ident| $body:expr) => {{
+        let theta0: &[f32] = $theta0;
         let gauge = Arc::new(MemoryGauge::new());
-        match kind {
-            "SEQ" => Shared::Locked(LockedParams::new(theta0.to_vec(), gauge)),
-            "HOG" => Shared::Hog(HogwildParams::new(theta0, gauge)),
+        match $kind {
+            "SEQ" => {
+                let $store = LockedParams::new(theta0.to_vec(), gauge);
+                $body
+            }
+            "HOG" => {
+                let $store = HogwildParams::new(theta0, gauge);
+                $body
+            }
             "LSH" => {
                 let pool = BufferPool::new_with_recycling(theta0.len(), gauge, true);
-                Shared::Leashed(LeashedShared::new(theta0, pool))
+                let $store = LeashedShared::new(theta0, pool);
+                $body
             }
-            "LSH_sharded" => Shared::Sharded(ShardedShared::new(
-                theta0,
-                default_shards(theta0.len(), workers_hint),
-                gauge,
-                true,
-            )),
+            "LSH_sharded" => {
+                let shards = default_shards(theta0.len(), $workers);
+                let $store = ShardedShared::new(theta0, shards, gauge, true);
+                $body
+            }
             other => unreachable!("unknown algorithm {other}"),
         }
-    }
+    }};
+}
 
-    /// One full SGD step: read the shared parameters, compute a minibatch
-    /// gradient, publish the scaled update.
-    fn step<P: Problem>(
-        &self,
-        problem: &P,
-        local: &mut [f32],
-        grad: &mut [f32],
-        pairs: &mut Vec<(u32, f32)>,
-        scratch: &mut P::Scratch,
-        rng: &mut SmallRng64,
-    ) {
-        match self {
-            Shared::Locked(p) => {
-                p.read_into(local);
-                problem.grad(local, grad, scratch, rng);
-                p.update(grad, ETA);
-            }
-            Shared::Hog(p) => {
-                p.read_into(local);
-                problem.grad(local, grad, scratch, rng);
-                p.update(grad, ETA);
-            }
-            Shared::Leashed(s) => {
-                let loss;
-                {
-                    let guard = s.latest();
-                    // Zero-copy read (paper P3): gradient straight from
-                    // the published buffer.
-                    loss = problem.grad(guard.theta(), grad, scratch, rng);
-                }
-                let _ = loss;
-                s.publish_update(grad, ETA, None, |_| {});
-            }
-            Shared::Sharded(s) => {
-                {
-                    let snap = s.snapshot(SnapshotMode::Fast, 8);
-                    snap.gather_into(local);
-                }
-                if let Some(_loss) = problem.grad_sparse(local, pairs, scratch, rng) {
-                    s.publish_sparse(pairs, ETA, None, None, |_| {});
-                } else {
-                    problem.grad(local, grad, scratch, rng);
-                    s.publish_dense(grad, ETA, None, None, |_| {});
-                }
-            }
+/// One worker's step state.
+struct StepState<P: Problem, S: ParamStore> {
+    local: S::Local,
+    grad: Vec<f32>,
+    pairs: Vec<(u32, f32)>,
+    scratch: P::Scratch,
+    rng: SmallRng64,
+}
+
+impl<P: Problem, S: ParamStore> StepState<P, S> {
+    fn new(problem: &P, store: &S, seed: u64) -> Self {
+        StepState {
+            local: store.local(),
+            grad: vec![0.0; problem.dim()],
+            pairs: Vec::new(),
+            scratch: problem.scratch(),
+            rng: SmallRng64::new(seed),
         }
     }
+}
+
+/// One full SGD step: read the shared parameters, compute a minibatch
+/// gradient (sparse where the store takes it and the problem has it),
+/// publish the scaled update.
+fn step<P: Problem, S: ParamStore>(problem: &P, store: &S, st: &mut StepState<P, S>) {
+    let mut sparse = false;
+    {
+        let (theta, _) = store.read(&mut st.local, SnapshotMode::Fast);
+        if S::SPARSE {
+            sparse = problem
+                .grad_sparse(&theta, &mut st.pairs, &mut st.scratch, &mut st.rng)
+                .is_some();
+        }
+        if !sparse {
+            problem.grad(&theta, &mut st.grad, &mut st.scratch, &mut st.rng);
+        }
+    }
+    let update = if sparse {
+        Update::Sparse(&st.pairs)
+    } else {
+        Update::Dense(&st.grad)
+    };
+    store.publish(&st.local, update, ETA, None, |_| {});
 }
 
 /// Benchmarks `algos` step latency on one workload under `name`.
@@ -129,32 +128,19 @@ fn bench_workload<P: Problem>(
     algos: &[&str],
 ) {
     let theta0 = problem.init_theta(1);
-    let dim = problem.dim();
-    group.throughput(Throughput::Elements(dim as u64));
+    group.throughput(Throughput::Elements(problem.dim() as u64));
     for &kind in algos {
-        let shared = Shared::build(kind, &theta0, 4);
-        let mut local = vec![0.0f32; dim];
-        let mut grad = vec![0.0f32; dim];
-        let mut pairs: Vec<(u32, f32)> = Vec::new();
-        let mut scratch = problem.scratch();
-        let mut rng = SmallRng64::new(99);
-        group.bench_with_input(BenchmarkId::new(name, kind), &(), |bench, _| {
-            bench.iter(|| {
-                shared.step(
-                    problem,
-                    &mut local,
-                    &mut grad,
-                    &mut pairs,
-                    &mut scratch,
-                    &mut rng,
-                );
+        with_store!(kind, &theta0, 4, |store| {
+            let mut st = StepState::new(problem, &store, 99);
+            group.bench_with_input(BenchmarkId::new(name, kind), &(), |bench, _| {
+                bench.iter(|| step(problem, &store, &mut st));
             });
         });
     }
 }
 
 /// Fig. 3-style worker-scaling rows: `workers` concurrent trainer-style
-/// tasks step against one shared backend, scheduled as scoped tasks on
+/// tasks step against one shared store, scheduled as scoped tasks on
 /// the unified work-stealing runtime (exactly how [`lsgd_core::train`]
 /// runs its workers, including any intra-step GEMM splits sharing the
 /// same worker threads). One timed iteration = every worker completes
@@ -170,45 +156,39 @@ fn bench_scaling<P: Problem>(
     algos: &[&str],
 ) {
     let theta0 = problem.init_theta(1);
-    let dim = problem.dim();
-    group.throughput(Throughput::Elements((dim * workers) as u64));
+    group.throughput(Throughput::Elements((problem.dim() * workers) as u64));
     let rt = lsgd_runtime::global();
     for &kind in algos {
-        let shared = Shared::build(kind, &theta0, workers);
-        // Per-worker step state, handed to the scoped tasks through
-        // `iter_mut` the same way the trainer distributes stats slots.
-        let mut states: Vec<_> = (0..workers)
-            .map(|w| {
-                (
-                    vec![0.0f32; dim],
-                    vec![0.0f32; dim],
-                    Vec::<(u32, f32)>::new(),
-                    problem.scratch(),
-                    SmallRng64::new(99 ^ (w as u64).wrapping_mul(0x9e3779b97f4a7c15)),
-                )
-            })
-            .collect();
-        group.bench_with_input(
-            BenchmarkId::new(format!("scaling_{name}_w{workers}"), kind),
-            &(),
-            |bench, _| {
-                bench.iter_custom(|iters| {
-                    let shared = &shared;
-                    let start = Instant::now();
-                    rt.scope(|scope| {
-                        for st in states.iter_mut() {
-                            scope.spawn(move || {
-                                let (local, grad, pairs, scratch, rng) = st;
-                                for _ in 0..iters {
-                                    shared.step(problem, local, grad, pairs, scratch, rng);
-                                }
-                            });
-                        }
+        with_store!(kind, &theta0, workers, |store| {
+            // Per-worker step state, handed to the scoped tasks through
+            // `iter_mut` the same way the trainer distributes stats slots.
+            let mut states: Vec<_> = (0..workers)
+                .map(|w| {
+                    let seed = 99 ^ (w as u64).wrapping_mul(0x9e3779b97f4a7c15);
+                    StepState::new(problem, &store, seed)
+                })
+                .collect();
+            group.bench_with_input(
+                BenchmarkId::new(format!("scaling_{name}_w{workers}"), kind),
+                &(),
+                |bench, _| {
+                    bench.iter_custom(|iters| {
+                        let store = &store;
+                        let start = Instant::now();
+                        rt.scope(|scope| {
+                            for st in states.iter_mut() {
+                                scope.spawn(move || {
+                                    for _ in 0..iters {
+                                        step(problem, store, st);
+                                    }
+                                });
+                            }
+                        });
+                        start.elapsed()
                     });
-                    start.elapsed()
-                });
-            },
-        );
+                },
+            );
+        });
     }
 }
 

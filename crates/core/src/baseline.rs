@@ -2,9 +2,12 @@
 //! and 4): the lock-based AsyncSGD and the synchronisation-free HOGWILD!.
 
 use crate::mem::MemoryGauge;
+use crate::shard::SnapshotMode;
+use crate::store::{ParamStore, Publication, Update};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Lock-protected shared parameters — Algorithm 2. Reads (full copy) and
 /// updates are serialised through one mutex; a global sequence number
@@ -59,11 +62,6 @@ impl LockedParams {
     pub fn current_seq(&self) -> u64 {
         // ORDERING: SeqCst — same total order as read_into/update.
         self.seq.load(Ordering::SeqCst)
-    }
-
-    /// The memory gauge this state reports to.
-    pub fn gauge(&self) -> &Arc<MemoryGauge> {
-        &self.gauge
     }
 }
 
@@ -150,11 +148,6 @@ impl HogwildParams {
         // ORDERING: SeqCst — same total order as read_into/update.
         self.seq.load(Ordering::SeqCst)
     }
-
-    /// The memory gauge this state reports to.
-    pub fn gauge(&self) -> &Arc<MemoryGauge> {
-        &self.gauge
-    }
 }
 
 impl Drop for HogwildParams {
@@ -162,6 +155,69 @@ impl Drop for HogwildParams {
         self.gauge.sub(self.bytes);
     }
 }
+
+/// Worker-local state of a store that copies θ on read.
+pub struct CopyRead {
+    theta: Vec<f32>,
+    seq: u64,
+}
+
+/// SEQ / ASYNC (Algorithm 2: lock, copy or axpy, unlock) and HOGWILD!
+/// (Algorithm 4: racy per-component copy and RMW) share one shape: `Tu`
+/// is one timed `update` call, and the sequence numbers give τ.
+macro_rules! copy_on_read_store {
+    ($store:ty) => {
+        impl ParamStore for $store {
+            type Local = CopyRead;
+            type View<'a> = &'a [f32];
+
+            fn local(&self) -> CopyRead {
+                CopyRead {
+                    theta: vec![0.0; self.dim()],
+                    seq: 0,
+                }
+            }
+
+            fn read<'a>(&'a self, local: &'a mut CopyRead, _: SnapshotMode) -> (&'a [f32], bool) {
+                local.seq = self.read_into(&mut local.theta);
+                (&local.theta, false)
+            }
+
+            fn staleness(&self, local: &CopyRead) -> u64 {
+                self.current_seq().saturating_sub(local.seq)
+            }
+
+            fn publish(
+                &self,
+                local: &CopyRead,
+                update: Update<'_>,
+                eta: f32,
+                _: Option<u32>,
+                mut on_attempt: impl FnMut(f64),
+            ) -> Publication {
+                let start = Instant::now();
+                let t_pub = self.update(update.expect_dense(), eta);
+                on_attempt(start.elapsed().as_secs_f64());
+                Publication {
+                    published: true,
+                    tau: t_pub - 1 - local.seq,
+                    ..Publication::default()
+                }
+            }
+
+            fn monitor_snapshot(&self, dst: &mut [f32]) {
+                self.read_into(dst);
+            }
+
+            fn gauge(&self) -> &Arc<MemoryGauge> {
+                &self.gauge
+            }
+        }
+    };
+}
+
+copy_on_read_store!(LockedParams);
+copy_on_read_store!(HogwildParams);
 
 #[cfg(test)]
 mod tests {

@@ -13,6 +13,8 @@
 //!   configurable persistence bound `Tp`.
 //! * [`baseline`] — the evaluated baselines: lock-based AsyncSGD
 //!   (Algorithm 2) and HOGWILD! (Algorithm 4).
+//! * [`store`] — [`ParamStore`], the read/publish seam every algorithm's
+//!   shared state implements, so one worker loop drives them all.
 //! * [`trainer`] — the `m`-thread asynchronous training executor with the
 //!   paper's full measurement instrumentation (staleness distributions,
 //!   `Tc`/`Tu` timings, ε-convergence with Crash/Diverge classification,
@@ -54,6 +56,7 @@ pub mod problem;
 pub mod result;
 pub mod shard;
 pub mod sparsify;
+pub mod store;
 pub mod trainer;
 
 /// Checked `LSGD_*` environment-variable parsing (re-exported from
@@ -67,6 +70,7 @@ pub use paramvec::{LeashedShared, PublishOutcome, ReadGuard};
 pub use problem::{NnProblem, Problem, RegressionProblem, SparseLogRegProblem};
 pub use result::{RunResult, UpdateHistograms, WorkerCrash};
 pub use shard::{ShardedPublish, ShardedShared, ShardedSnapshot, SnapshotMode};
+pub use store::{ParamStore, Publication, Update};
 pub use trainer::{train, EtaPolicy, TrainConfig};
 
 /// Convenient glob import for examples and harnesses.

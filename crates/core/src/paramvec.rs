@@ -38,10 +38,14 @@
 //! * **Writes to a private buffer happen-before its publication.** The
 //!   publishing CAS is `AcqRel`; readers load `P` with `Acquire`.
 
+use crate::mem::MemoryGauge;
 use crate::pool::BufferPool;
+use crate::shard::SnapshotMode;
+use crate::store::{ParamStore, Publication, Update};
 use lsgd_check::annotate;
 use lsgd_check::sync::{AtomicBool, AtomicPtr, AtomicU32, AtomicU64, Ordering};
 use lsgd_sync::SegQueue;
+use std::sync::Arc;
 
 /// One ParameterVector instance: metadata header + owned `theta` buffer
 /// (paper Algorithm 1).
@@ -184,6 +188,15 @@ impl<'a> ReadGuard<'a> {
 
     fn raw(&self) -> *mut ParamVec {
         self.pv as *const ParamVec as *mut ParamVec
+    }
+}
+
+impl std::ops::Deref for ReadGuard<'_> {
+    type Target = [f32];
+
+    #[inline]
+    fn deref(&self) -> &[f32] {
+        self.theta()
     }
 }
 
@@ -500,6 +513,76 @@ impl LeashedShared {
         let guard = self.latest();
         dst.copy_from_slice(guard.theta());
         guard.seq()
+    }
+}
+
+/// Leashed-SGD (Algorithm 3). The gradient is computed straight from the
+/// published buffer — the zero-copy read of paper P3 — so the local state
+/// is the read's sequence number and a worker holds one vector, its
+/// gradient.
+impl ParamStore for LeashedShared {
+    type Local = u64;
+    type View<'a> = ReadGuard<'a>;
+
+    const LOCAL_VECTORS: usize = 1;
+
+    fn local(&self) -> u64 {
+        0
+    }
+
+    fn read<'a>(&'a self, local: &'a mut u64, _: SnapshotMode) -> (ReadGuard<'a>, bool) {
+        let guard = self.latest();
+        *local = guard.seq();
+        (guard, false)
+    }
+
+    fn staleness(&self, local: &u64) -> u64 {
+        self.current_seq().saturating_sub(*local)
+    }
+
+    fn publish(
+        &self,
+        local: &u64,
+        update: Update<'_>,
+        eta: f32,
+        persistence: Option<u32>,
+        on_attempt: impl FnMut(f64),
+    ) -> Publication {
+        match self.publish_update(update.expect_dense(), eta, persistence, on_attempt) {
+            PublishOutcome::Published {
+                t_new,
+                t_first_base,
+                failed_cas,
+                ..
+            } => Publication {
+                published: true,
+                // τ: concurrent updates between the read and this update
+                // taking effect (t_new labels position t_new-1+1).
+                tau: t_new - 1 - local,
+                // τs: competitors that won the LAU-SPC race after this
+                // update was first ready to publish (§IV.2); exactly 0
+                // for every published update when Tp = 0.
+                tau_s: Some(t_new - 1 - t_first_base),
+                dirty: None,
+                failed_cas,
+            },
+            PublishOutcome::Aborted { failed_cas } => Publication {
+                failed_cas,
+                ..Publication::default()
+            },
+        }
+    }
+
+    fn monitor_snapshot(&self, dst: &mut [f32]) {
+        self.snapshot_into(dst);
+    }
+
+    fn gauge(&self) -> &Arc<MemoryGauge> {
+        self.pool().gauge()
+    }
+
+    fn pool_peak(&self) -> usize {
+        self.pool().outstanding_peak()
     }
 }
 

@@ -5,6 +5,7 @@ use super::snapshot::{ShardedSnapshot, SnapshotMode};
 use crate::mem::MemoryGauge;
 use crate::paramvec::{LeashedShared, PublishOutcome};
 use crate::pool::BufferPool;
+use crate::store::{ParamStore, Publication, Update};
 use std::sync::Arc;
 
 /// Aggregate outcome of one multi-shard publication: how many shards the
@@ -130,21 +131,6 @@ impl ShardedShared {
     /// analogue of [`LeashedShared::current_seq`]).
     pub fn total_seq(&self) -> u64 {
         self.shards.iter().map(|s| s.current_seq()).sum()
-    }
-
-    /// The memory gauge all shard pools report to.
-    pub fn gauge(&self) -> &Arc<MemoryGauge> {
-        self.shards[0].pool().gauge()
-    }
-
-    /// Sum of the per-shard pool high-water marks — an upper bound on the
-    /// concurrently outstanding buffers across the whole vector (the
-    /// per-shard peaks need not coincide in time).
-    pub fn pool_outstanding_peak(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.pool().outstanding_peak())
-            .sum()
     }
 
     /// Acquires a multi-shard read. `Fast` performs one counted read per
@@ -305,6 +291,102 @@ impl ShardedShared {
             i = j;
         }
         agg
+    }
+}
+
+/// Per-worker bound on the consistent snapshot's validate-and-retry loop:
+/// after this many failed double-collects the read degrades to a fresh
+/// Fast read — SGD tolerates the relaxation, and a bounded loop keeps
+/// read latency predictable under heavy publishing.
+const WORKER_SNAPSHOT_RETRIES: u32 = 32;
+
+/// Worker-local state of the sharded store: the gathered copy of θ (the
+/// shards are not contiguous in memory) and the read's per-shard
+/// sequence vector.
+pub struct ShardedRead {
+    theta: Vec<f32>,
+    seqs: Vec<u64>,
+}
+
+/// Sharded Leashed-SGD: a multi-shard counted read gathered into the
+/// local copy, and a dirty-shards-only publication of sparse `(index,
+/// value)` pairs or dense per-shard sub-gradients.
+impl ParamStore for ShardedShared {
+    type Local = ShardedRead;
+    type View<'a> = &'a [f32];
+
+    const SPARSE: bool = true;
+
+    fn local(&self) -> ShardedRead {
+        ShardedRead {
+            theta: vec![0.0; self.dim()],
+            seqs: Vec::with_capacity(self.num_shards()),
+        }
+    }
+
+    fn read<'a>(&'a self, local: &'a mut ShardedRead, mode: SnapshotMode) -> (&'a [f32], bool) {
+        let snap = self.snapshot(mode, WORKER_SNAPSHOT_RETRIES);
+        local.seqs.clear();
+        local.seqs.extend_from_slice(snap.seqs());
+        snap.gather_into(&mut local.theta);
+        (&local.theta, snap.is_degraded())
+    }
+
+    /// τ in *update* units (matching the unsharded store): the max
+    /// per-shard seq advance since the read. Each concurrent update bumps
+    /// every shard it touches by exactly 1, so the max over shards counts
+    /// concurrent updates (exactly for dense updates, a lower bound for
+    /// sparse ones) — summing shard seqs would instead count
+    /// shard-publications and inflate τ by up to S.
+    fn staleness(&self, local: &ShardedRead) -> u64 {
+        (0..self.num_shards())
+            .map(|s| self.shard(s).current_seq().saturating_sub(local.seqs[s]))
+            .max()
+            .unwrap_or(0)
+    }
+
+    fn publish(
+        &self,
+        local: &ShardedRead,
+        update: Update<'_>,
+        eta: f32,
+        persistence: Option<u32>,
+        on_attempt: impl FnMut(f64),
+    ) -> Publication {
+        let base = Some(local.seqs.as_slice());
+        let out = match update {
+            Update::Dense(g) => self.publish_dense(g, eta, persistence, base, on_attempt),
+            Update::Sparse(p) => self.publish_sparse(p, eta, persistence, base, on_attempt),
+        };
+        Publication {
+            // Published when at least one dirty shard landed; fully
+            // abandoned updates are aborted. An exactly-zero gradient
+            // (dirty = 0) is a successful no-op, as in the unsharded
+            // store — counting it keeps the max_updates budget advancing
+            // (and the run terminating) when gradients vanish at
+            // convergence.
+            published: out.published > 0 || out.dirty == 0,
+            tau: out.tau_max,
+            tau_s: Some(out.tau_s_max),
+            dirty: Some(out.dirty),
+            failed_cas: out.failed_cas,
+        }
+    }
+
+    fn monitor_snapshot(&self, dst: &mut [f32]) {
+        self.snapshot_into(dst);
+    }
+
+    /// The gauge all shard pools report to.
+    fn gauge(&self) -> &Arc<MemoryGauge> {
+        self.shards[0].pool().gauge()
+    }
+
+    /// Sum of the per-shard pool high-water marks — an upper bound on the
+    /// concurrently outstanding buffers across the whole vector (the
+    /// per-shard peaks need not coincide in time).
+    fn pool_peak(&self) -> usize {
+        self.shards.iter().map(|s| s.pool().outstanding_peak()).sum()
     }
 }
 

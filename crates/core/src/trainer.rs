@@ -13,11 +13,12 @@ use crate::algorithm::Algorithm;
 use crate::baseline::{HogwildParams, LockedParams};
 use crate::heartbeat::{BeatPhase, HeartbeatBoard};
 use crate::mem::MemoryGauge;
-use crate::paramvec::{LeashedShared, PublishOutcome};
+use crate::paramvec::LeashedShared;
 use crate::pool::BufferPool;
 use crate::problem::Problem;
 use crate::result::{RunResult, UpdateHistograms, WorkerCrash};
-use crate::shard::{effective_shards, ShardedShared};
+use crate::shard::{effective_shards, ShardedShared, SnapshotMode};
+use crate::store::{ParamStore, Update};
 use lsgd_metrics::{ConvergenceTracker, OnlineStats, Series};
 use lsgd_trace::Phase;
 use lsgd_tensor::SmallRng64;
@@ -159,34 +160,6 @@ impl WorkerStats {
     }
 }
 
-/// Shared algorithm state, dispatched per config.
-#[allow(clippy::large_enum_variant)] // one instance per run; size is irrelevant
-enum SharedState {
-    Locked(LockedParams),
-    Hogwild(HogwildParams),
-    Leashed(LeashedShared),
-    Sharded(ShardedShared),
-}
-
-impl SharedState {
-    fn snapshot_into(&self, dst: &mut [f32]) {
-        match self {
-            SharedState::Locked(p) => {
-                p.read_into(dst);
-            }
-            SharedState::Hogwild(p) => {
-                p.read_into(dst);
-            }
-            SharedState::Leashed(s) => {
-                s.snapshot_into(dst);
-            }
-            SharedState::Sharded(s) => {
-                s.snapshot_into(dst);
-            }
-        }
-    }
-}
-
 /// Control block shared by workers and the monitor.
 struct Control {
     stop: AtomicBool,
@@ -230,8 +203,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Per-worker context for heartbeats and fault probes, threaded through
-/// every algorithm loop.
+/// Per-worker context for heartbeats and fault probes.
 struct WorkerCtx<'a> {
     board: &'a HeartbeatBoard,
     worker_id: usize,
@@ -278,28 +250,45 @@ pub fn train<P: Problem>(problem: &P, cfg: &TrainConfig) -> RunResult {
     let mut monitor_scratch = problem.scratch();
     let initial_loss = problem.eval_loss(&theta0, &mut monitor_scratch);
 
-    let shared = match cfg.algorithm {
+    match cfg.algorithm {
         Algorithm::Sequential | Algorithm::AsyncLock => {
-            SharedState::Locked(LockedParams::new(theta0, Arc::clone(&gauge)))
+            let store = LockedParams::new(theta0, gauge);
+            run(&store, problem, cfg, threads, initial_loss, monitor_scratch)
         }
         Algorithm::Hogwild => {
-            SharedState::Hogwild(HogwildParams::new(&theta0, Arc::clone(&gauge)))
+            let store = HogwildParams::new(&theta0, gauge);
+            run(&store, problem, cfg, threads, initial_loss, monitor_scratch)
         }
         Algorithm::Leashed { .. } => {
-            let pool =
-                BufferPool::new_with_recycling(dim, Arc::clone(&gauge), cfg.pool_recycling);
-            SharedState::Leashed(LeashedShared::new(&theta0, pool))
+            let pool = BufferPool::new_with_recycling(dim, gauge, cfg.pool_recycling);
+            let store = LeashedShared::new(&theta0, pool);
+            run(&store, problem, cfg, threads, initial_loss, monitor_scratch)
         }
-        Algorithm::ShardedLeashed { shards, .. } => SharedState::Sharded(ShardedShared::new(
-            &theta0,
-            // `shards == 0` selects the dim/worker heuristic; LSGD_SHARDS
-            // still overrides either way.
-            effective_shards(shards, dim, threads),
-            Arc::clone(&gauge),
-            cfg.pool_recycling,
-        )),
-    };
+        Algorithm::ShardedLeashed { shards, .. } => {
+            let store = ShardedShared::new(
+                &theta0,
+                effective_shards(shards, dim, threads),
+                gauge,
+                cfg.pool_recycling,
+            );
+            run(&store, problem, cfg, threads, initial_loss, monitor_scratch)
+        }
+    }
+}
 
+/// The body of [`train`] once the algorithm's store exists: the workers
+/// and the monitor as tasks of the unified runtime, then the merged
+/// measurement record.
+fn run<P: Problem, S: ParamStore>(
+    store: &S,
+    problem: &P,
+    cfg: &TrainConfig,
+    threads: usize,
+    initial_loss: f64,
+    mut monitor_scratch: P::Scratch,
+) -> RunResult {
+    let dim = problem.dim();
+    let gauge = store.gauge();
     // Advisory memory cap: the pool's pressure path reads it through
     // the shared gauge.
     gauge.set_cap(cfg.mem_cap_bytes);
@@ -347,9 +336,7 @@ pub fn train<P: Problem>(problem: &P, cfg: &TrainConfig) -> RunResult {
         let iters_to_eps = &mut iters_to_eps;
         let loss_trace = &mut loss_trace;
         let mem_trace = &mut mem_trace;
-        let shared = &shared;
         let control = &control;
-        let gauge = &gauge;
         let collector = &mut collector;
         let board = &board;
         let crashes = &crashes;
@@ -370,7 +357,7 @@ pub fn train<P: Problem>(problem: &P, cfg: &TrainConfig) -> RunResult {
                     // returns gauge bytes, and the LAU-SPC CAS is a
                     // single atomic (no partially-published state).
                     match catch_unwind(AssertUnwindSafe(|| {
-                        run_worker(problem, shared, control, cfg, worker_id, &ctx)
+                        run_worker(problem, store, control, cfg, worker_id, &ctx)
                     })) {
                         Ok(stats) => {
                             ctx.phase(BeatPhase::Done);
@@ -457,7 +444,7 @@ pub fn train<P: Problem>(problem: &P, cfg: &TrainConfig) -> RunResult {
 
                     let loss = {
                         let _span = lsgd_trace::span(Phase::MonitorEval);
-                        shared.snapshot_into(&mut snapshot);
+                        store.monitor_snapshot(&mut snapshot);
                         // ORDERING: Relaxed — crash flag, eventually
                         // observed.
                         if control.crashed.load(Ordering::Relaxed) {
@@ -518,11 +505,6 @@ pub fn train<P: Problem>(problem: &P, cfg: &TrainConfig) -> RunResult {
     }
 
     let wall = start.elapsed();
-    let pool_peak = match &shared {
-        SharedState::Leashed(s) => s.pool().outstanding_peak(),
-        SharedState::Sharded(s) => s.pool_outstanding_peak(),
-        _ => 0,
-    };
 
     RunResult {
         algorithm: cfg.algorithm,
@@ -548,7 +530,7 @@ pub fn train<P: Problem>(problem: &P, cfg: &TrainConfig) -> RunResult {
         iter_time: merged.iter_time,
         wall,
         mem_peak_bytes: gauge.peak(),
-        pool_outstanding_peak: pool_peak,
+        pool_outstanding_peak: store.pool_peak(),
         mem_allocs: gauge.total_allocs(),
         mem_reuses: gauge.pool_reuses(),
         worker_crashes: crashes.into_inner().unwrap_or_else(|e| e.into_inner()),
@@ -560,7 +542,6 @@ pub fn train<P: Problem>(problem: &P, cfg: &TrainConfig) -> RunResult {
 /// A worker whose heartbeat tick count stays flat this long (while not
 /// terminated) is reported as stalled by the monitor's watchdog.
 const STALL_WINDOW: Duration = Duration::from_secs(1);
-
 
 /// Folds the freshly computed gradient into the worker's velocity buffer
 /// (`v ← μ·v + g`) and returns the slice to apply. With `μ = 0` the
@@ -578,10 +559,12 @@ fn fold_momentum<'g>(grad: &'g mut [f32], velocity: &'g mut Vec<f32>, mu: f32) -
     velocity
 }
 
-/// One worker's training loop (dispatches on the algorithm).
-fn run_worker<P: Problem>(
+/// One worker's training loop: the AsyncSGD thread body (paper
+/// Algorithm 1) over any [`ParamStore`] — read, gradient, publish, with
+/// the store deciding how θ is read and how the update lands.
+fn run_worker<P: Problem, S: ParamStore>(
     problem: &P,
-    shared: &SharedState,
+    store: &S,
     control: &Control,
     cfg: &TrainConfig,
     worker_id: usize,
@@ -589,61 +572,41 @@ fn run_worker<P: Problem>(
 ) -> WorkerStats {
     let dim = problem.dim();
     let mut stats = WorkerStats::new(cfg.staleness_cap);
+    // Protocol knobs only the LAU-SPC stores read: the persistence bound
+    // Tp and the cross-shard read mode.
+    let (persistence, snapshot) = match cfg.algorithm {
+        Algorithm::Leashed { persistence } => (persistence, SnapshotMode::Fast),
+        Algorithm::ShardedLeashed {
+            persistence,
+            snapshot,
+            ..
+        } => (persistence, snapshot),
+        _ => (None, SnapshotMode::Fast),
+    };
     // Intra-step splits (NnProblem's GEMM fan-out) execute on the same
     // work-stealing runtime that runs the m trainer workers, so scratch
     // needs no worker-count-aware sizing: total parallelism is bounded
     // by LSGD_THREADS regardless of m.
     let mut scratch = problem.scratch();
     let mut rng = SmallRng64::new(cfg.seed ^ (0x5bd1e995u64.wrapping_mul(worker_id as u64 + 1)));
+    // Worker-local buffers count towards the paper's memory model: every
+    // worker holds its gradient, and a local copy of θ unless the store
+    // reads zero-copy (ASYNC/HOG hold 2m + 1 vectors, Leashed m plus its
+    // recycling pool). `GaugeHold` returns the bytes even when the loop
+    // unwinds from a contained panic.
+    let _hold = GaugeHold::new(
+        Arc::clone(store.gauge()),
+        S::LOCAL_VECTORS * dim * std::mem::size_of::<f32>(),
+    );
+    let mut local = store.local();
     let mut grad = vec![0.0f32; dim];
-    let vec_bytes = dim * std::mem::size_of::<f32>();
-    // Worker-local buffers count towards the paper's memory model
-    // (ASYNC/HOG hold 2m + 1 vectors: local copy + local gradient per
-    // thread, plus the shared one; Leashed holds the gradient only, its
-    // working vectors come from the recycling pool). `GaugeHold` returns
-    // the bytes even when the loop unwinds from a contained panic.
-    let _hold = match shared {
-        SharedState::Leashed(s) => {
-            GaugeHold::new(Arc::clone(s.pool().gauge()), vec_bytes) // local gradient
-        }
-        SharedState::Locked(p) => {
-            // local copy + local gradient
-            let _hold = GaugeHold::new(Arc::clone(p.gauge()), 2 * vec_bytes);
-            let mut local = vec![0.0f32; dim];
-            return run_locked_worker(
-                problem, p, control, cfg, &mut scratch, &mut rng, &mut grad, &mut local,
-                stats, ctx,
-            );
-        }
-        SharedState::Hogwild(p) => {
-            let _hold = GaugeHold::new(Arc::clone(p.gauge()), 2 * vec_bytes);
-            let mut local = vec![0.0f32; dim];
-            return run_hogwild_worker(
-                problem, p, control, cfg, &mut scratch, &mut rng, &mut grad, &mut local,
-                stats, ctx,
-            );
-        }
-        SharedState::Sharded(s) => {
-            // Sharded workers gather into a local theta copy (the shards
-            // are not contiguous in memory), so like ASYNC/HOG they hold
-            // local copy + local gradient.
-            let _hold = GaugeHold::new(Arc::clone(s.gauge()), 2 * vec_bytes);
-            let mut local = vec![0.0f32; dim];
-            return run_sharded_worker(
-                problem, s, control, cfg, &mut scratch, &mut rng, &mut grad, &mut local,
-                stats, ctx,
-            );
-        }
-    };
-    // ---- Leashed-SGD worker (Algorithm 3 thread body). ----
-    let Algorithm::Leashed { persistence } = cfg.algorithm else {
-        unreachable!("leashed shared state implies leashed algorithm");
-    };
-    let SharedState::Leashed(s) = shared else {
-        unreachable!();
-    };
+    let mut pairs: Vec<(u32, f32)> = Vec::new();
     let mut sparsify_scratch = Vec::new();
-    let mut velocity = Vec::new();
+    let mut velocity: Vec<f32> = Vec::new();
+    // The sparse-native gradient bypasses the dense buffer entirely;
+    // momentum needs a dense velocity fold and top-k sparsification its
+    // own selection, so either forces the dense path.
+    let sparse_native = S::SPARSE && cfg.momentum == 0.0 && cfg.sparsify.is_none();
     let mut step: u64 = 0;
     // ORDERING: Relaxed — stop is an eventually-observed flag; the
     // worker re-polls it every iteration and carries no data through it.
@@ -652,22 +615,26 @@ fn run_worker<P: Problem>(
         lsgd_fault::worker_step(step);
         step += 1;
         let iter_start = Instant::now();
-        let t0;
-        let loss;
-        {
-            let guard = {
+        let mut sparse = false;
+        let loss = {
+            let (theta, degraded) = {
                 let _span = lsgd_trace::span(Phase::SnapshotRead);
-                s.latest()
+                store.read(&mut local, snapshot)
             };
-            t0 = guard.seq();
+            stats.degraded += degraded as u64;
             ctx.phase(BeatPhase::Grad);
             let tc_start = Instant::now();
             let _span = lsgd_trace::span(Phase::GradCompute);
-            // Gradient computed directly from the published memory — the
-            // zero-copy read of paper P3.
-            loss = problem.grad(guard.theta(), &mut grad, &mut scratch, &mut rng);
+            let mut loss = None;
+            if sparse_native {
+                loss = problem.grad_sparse(&theta, &mut pairs, &mut scratch, &mut rng);
+                sparse = loss.is_some();
+            }
+            let loss =
+                loss.unwrap_or_else(|| problem.grad(&theta, &mut grad, &mut scratch, &mut rng));
             stats.tc.record(tc_start.elapsed().as_secs_f64());
-        }
+            loss
+        };
         if !loss.is_finite() {
             // ORDERING: SeqCst pair — crash must be visible no later
             // than stop in the single total order, so the monitor that
@@ -678,331 +645,50 @@ fn run_worker<P: Problem>(
             break;
         }
         if let Some(frac) = cfg.sparsify {
-            crate::sparsify::sparsify_top_frac(&mut grad, frac, &mut sparsify_scratch);
+            if S::SPARSE && cfg.momentum == 0.0 {
+                // Index extraction feeds the dirty-shard path directly —
+                // no zeroing pass, no dense re-scan at publish time.
+                crate::sparsify::sparsify_top_frac_indices(
+                    &grad,
+                    frac,
+                    &mut sparsify_scratch,
+                    &mut pairs,
+                );
+                sparse = true;
+            } else {
+                crate::sparsify::sparsify_top_frac(&mut grad, frac, &mut sparsify_scratch);
+            }
         }
-        let eta = cfg
-            .eta_policy
-            .effective(cfg.eta, s.current_seq().saturating_sub(t0));
-        let direction = fold_momentum(&mut grad, &mut velocity, cfg.momentum);
+        let eta = cfg.eta_policy.effective(cfg.eta, store.staleness(&local));
+        let update = if sparse {
+            Update::Sparse(&pairs)
+        } else {
+            Update::Dense(fold_momentum(&mut grad, &mut velocity, cfg.momentum))
+        };
         ctx.phase(BeatPhase::Publish);
         let tu_stats = &mut stats.tu;
-        let outcome = {
+        let out = {
             let _span = lsgd_trace::span(Phase::Publish);
-            s.publish_update(direction, eta, persistence, |secs| {
-                tu_stats.record(secs);
+            store.publish(&local, update, eta, persistence, |secs| {
+                tu_stats.record(secs)
             })
         };
-        match outcome {
-            PublishOutcome::Published {
-                t_new,
-                t_first_base,
-                failed_cas,
-                ..
-            } => {
-                stats.published += 1;
-                stats.failed_cas += failed_cas as u64;
-                // τ: concurrent updates between the read (t0) and this
-                // update taking effect (t_new labels position t_new-1+1).
-                stats.hists.staleness.record(t_new - 1 - t0);
-                // τs: competitors that won the LAU-SPC race after this
-                // update was first ready to publish (§IV.2); exactly 0 for
-                // every published update when Tp = 0.
-                stats.hists.tau_s.record(t_new - 1 - t_first_base);
-                // ORDERING: Relaxed — monotone progress tally; exact
-                // totals are only read after the scope join.
-                control.total_published.fetch_add(1, Ordering::Relaxed);
-            }
-            PublishOutcome::Aborted { failed_cas } => {
-                stats.aborted += 1;
-                stats.failed_cas += failed_cas as u64;
-            }
-        }
-        stats.iter_time.record(iter_start.elapsed().as_secs_f64());
-    }
-    stats
-}
-
-/// Per-worker bound on the consistent snapshot's validate-and-retry loop:
-/// after this many failed double-collects the worker proceeds with its
-/// last (possibly mixed-version) view — SGD tolerates the relaxation, and
-/// a bounded loop keeps read latency predictable under heavy publishing.
-const WORKER_SNAPSHOT_RETRIES: u32 = 32;
-
-/// Worker loop for sharded Leashed-SGD: multi-shard counted read
-/// (gathered into a local copy), gradient, and a dirty-shards-only
-/// publication — sparse `(index, value)` pairs when the problem provides
-/// them ([`Problem::grad_sparse`]) or top-k sparsification is on, dense
-/// per-shard sub-gradients otherwise.
-#[allow(clippy::too_many_arguments)]
-fn run_sharded_worker<P: Problem>(
-    problem: &P,
-    shared: &ShardedShared,
-    control: &Control,
-    cfg: &TrainConfig,
-    scratch: &mut P::Scratch,
-    rng: &mut SmallRng64,
-    grad: &mut [f32],
-    local: &mut [f32],
-    mut stats: WorkerStats,
-    ctx: &WorkerCtx<'_>,
-) -> WorkerStats {
-    let Algorithm::ShardedLeashed {
-        persistence,
-        snapshot: snapshot_mode,
-        ..
-    } = cfg.algorithm
-    else {
-        unreachable!("sharded shared state implies sharded algorithm");
-    };
-    let mut base_seqs: Vec<u64> = Vec::with_capacity(shared.num_shards());
-    let mut pairs: Vec<(u32, f32)> = Vec::new();
-    let mut sparsify_scratch = Vec::new();
-    let mut velocity: Vec<f32> = Vec::new();
-    // The sparse-native path bypasses the dense gradient buffer entirely;
-    // momentum needs a dense velocity fold, so it forces the dense path.
-    let sparse_native_ok = cfg.momentum == 0.0 && cfg.sparsify.is_none();
-    let mut step: u64 = 0;
-    // ORDERING: Relaxed — stop is an eventually-observed flag; the
-    // worker re-polls it every iteration and carries no data through it.
-    while !control.stop.load(Ordering::Relaxed) {
-        ctx.beat(BeatPhase::Snapshot, step);
-        lsgd_fault::worker_step(step);
-        step += 1;
-        let iter_start = Instant::now();
-        {
-            let _span = lsgd_trace::span(Phase::SnapshotRead);
-            let snap = shared.snapshot(snapshot_mode, WORKER_SNAPSHOT_RETRIES);
-            if snap.is_degraded() {
-                stats.degraded += 1;
-            }
-            base_seqs.clear();
-            base_seqs.extend_from_slice(snap.seqs());
-            snap.gather_into(local);
-        }
-        ctx.phase(BeatPhase::Grad);
-        let tc_start = Instant::now();
-        let mut sparse_ready = false;
-        let mut loss = f32::NAN;
-        {
-            let _span = lsgd_trace::span(Phase::GradCompute);
-            if sparse_native_ok {
-                if let Some(l) = problem.grad_sparse(local, &mut pairs, scratch, rng) {
-                    loss = l;
-                    sparse_ready = true;
-                }
-            }
-            if !sparse_ready {
-                loss = problem.grad(local, grad, scratch, rng);
-            }
-        }
-        stats.tc.record(tc_start.elapsed().as_secs_f64());
-        if !loss.is_finite() {
-            // ORDERING: SeqCst pair — crash must be visible no later
-            // than stop in the single total order, so the monitor that
-            // sees stop cannot miss the crash verdict behind it.
-            control.crashed.store(true, Ordering::SeqCst);
-            // ORDERING: SeqCst — see above.
-            control.stop.store(true, Ordering::SeqCst);
-            break;
-        }
-        // τ estimate in *update* units (matching the unsharded path): the
-        // max per-shard seq advance since our read. Each concurrent update
-        // bumps every shard it touches by exactly 1, so the max over
-        // shards counts concurrent updates (exactly for dense updates,
-        // a lower bound for sparse ones) — summing shard seqs would
-        // instead count shard-publications and inflate τ by up to S.
-        let tau_est = (0..shared.num_shards())
-            .map(|s| shared.shard(s).current_seq().saturating_sub(base_seqs[s]))
-            .max()
-            .unwrap_or(0);
-        let eta = cfg.eta_policy.effective(cfg.eta, tau_est);
-        ctx.phase(BeatPhase::Publish);
-        let tu_stats = &mut stats.tu;
-        let outcome = {
-            let _span = lsgd_trace::span(Phase::Publish);
-            if sparse_ready {
-                shared.publish_sparse(&pairs, eta, persistence, Some(&base_seqs), |secs| {
-                    tu_stats.record(secs)
-                })
-            } else if cfg.momentum == 0.0 {
-                if let Some(frac) = cfg.sparsify {
-                    // Index extraction feeds the dirty-shard path directly —
-                    // no zeroing pass, no dense re-scan at publish time.
-                    crate::sparsify::sparsify_top_frac_indices(
-                        grad,
-                        frac,
-                        &mut sparsify_scratch,
-                        &mut pairs,
-                    );
-                    shared.publish_sparse(&pairs, eta, persistence, Some(&base_seqs), |secs| {
-                        tu_stats.record(secs)
-                    })
-                } else {
-                    shared.publish_dense(grad, eta, persistence, Some(&base_seqs), |secs| {
-                        tu_stats.record(secs)
-                    })
-                }
-            } else {
-                if let Some(frac) = cfg.sparsify {
-                    crate::sparsify::sparsify_top_frac(grad, frac, &mut sparsify_scratch);
-                }
-                let direction = fold_momentum(grad, &mut velocity, cfg.momentum);
-                shared.publish_dense(direction, eta, persistence, Some(&base_seqs), |secs| {
-                    tu_stats.record(secs)
-                })
-            }
-        };
-        // An update counts as published when at least one of its dirty
-        // shards landed; fully abandoned updates count as aborted. An
-        // exactly-zero gradient (dirty = 0) is a successful no-op — the
-        // unsharded path publishes it as one; counting it here keeps the
-        // max_updates budget advancing (and the run terminating) when
-        // gradients vanish at convergence.
-        if outcome.published > 0 || outcome.dirty == 0 {
+        if out.published {
             stats.published += 1;
-            stats.hists.staleness.record(outcome.tau_max);
-            stats.hists.tau_s.record(outcome.tau_s_max);
-            stats.hists.dirty_shards.record(outcome.dirty as u64);
-            // ORDERING: Relaxed — monotone progress tally; see above.
+            stats.hists.staleness.record(out.tau);
+            if let Some(tau_s) = out.tau_s {
+                stats.hists.tau_s.record(tau_s);
+            }
+            if let Some(dirty) = out.dirty {
+                stats.hists.dirty_shards.record(dirty as u64);
+            }
+            // ORDERING: Relaxed — monotone progress tally; exact totals
+            // are only read after the scope join.
             control.total_published.fetch_add(1, Ordering::Relaxed);
         } else {
             stats.aborted += 1;
         }
-        stats.failed_cas += outcome.failed_cas as u64;
-        stats.iter_time.record(iter_start.elapsed().as_secs_f64());
-    }
-    stats
-}
-
-/// Worker loop for SEQ / lock-based ASYNC (Algorithm 2 thread body).
-#[allow(clippy::too_many_arguments)]
-fn run_locked_worker<P: Problem>(
-    problem: &P,
-    shared: &LockedParams,
-    control: &Control,
-    cfg: &TrainConfig,
-    scratch: &mut P::Scratch,
-    rng: &mut SmallRng64,
-    grad: &mut [f32],
-    local: &mut [f32],
-    mut stats: WorkerStats,
-    ctx: &WorkerCtx<'_>,
-) -> WorkerStats {
-    let mut velocity: Vec<f32> = Vec::new();
-    let mut sparsify_scratch = Vec::new();
-    let mut step: u64 = 0;
-    // ORDERING: Relaxed — stop is an eventually-observed flag; the
-    // worker re-polls it every iteration and carries no data through it.
-    while !control.stop.load(Ordering::Relaxed) {
-        ctx.beat(BeatPhase::Snapshot, step);
-        lsgd_fault::worker_step(step);
-        step += 1;
-        let iter_start = Instant::now();
-        let t0 = {
-            let _span = lsgd_trace::span(Phase::SnapshotRead);
-            shared.read_into(local) // lock, copy, unlock
-        };
-        ctx.phase(BeatPhase::Grad);
-        let tc_start = Instant::now();
-        let loss = {
-            let _span = lsgd_trace::span(Phase::GradCompute);
-            problem.grad(local, grad, scratch, rng)
-        };
-        stats.tc.record(tc_start.elapsed().as_secs_f64());
-        if !loss.is_finite() {
-            // ORDERING: SeqCst pair — crash must be visible no later
-            // than stop in the single total order, so the monitor that
-            // sees stop cannot miss the crash verdict behind it.
-            control.crashed.store(true, Ordering::SeqCst);
-            // ORDERING: SeqCst — see above.
-            control.stop.store(true, Ordering::SeqCst);
-            break;
-        }
-        if let Some(frac) = cfg.sparsify {
-            crate::sparsify::sparsify_top_frac(grad, frac, &mut sparsify_scratch);
-        }
-        let eta = cfg
-            .eta_policy
-            .effective(cfg.eta, shared.current_seq().saturating_sub(t0));
-        let direction = fold_momentum(grad, &mut velocity, cfg.momentum);
-        ctx.phase(BeatPhase::Publish);
-        let tu_start = Instant::now();
-        let t_pub = {
-            let _span = lsgd_trace::span(Phase::Publish);
-            shared.update(direction, eta) // lock, axpy, unlock
-        };
-        stats.tu.record(tu_start.elapsed().as_secs_f64());
-        stats.hists.staleness.record(t_pub - 1 - t0);
-        stats.published += 1;
-        // ORDERING: Relaxed — monotone progress tally; see above.
-        control.total_published.fetch_add(1, Ordering::Relaxed);
-        stats.iter_time.record(iter_start.elapsed().as_secs_f64());
-    }
-    stats
-}
-
-/// Worker loop for HOGWILD! (Algorithm 4 thread body).
-#[allow(clippy::too_many_arguments)]
-fn run_hogwild_worker<P: Problem>(
-    problem: &P,
-    shared: &HogwildParams,
-    control: &Control,
-    cfg: &TrainConfig,
-    scratch: &mut P::Scratch,
-    rng: &mut SmallRng64,
-    grad: &mut [f32],
-    local: &mut [f32],
-    mut stats: WorkerStats,
-    ctx: &WorkerCtx<'_>,
-) -> WorkerStats {
-    let mut velocity: Vec<f32> = Vec::new();
-    let mut sparsify_scratch = Vec::new();
-    let mut step: u64 = 0;
-    // ORDERING: Relaxed — stop is an eventually-observed flag; the
-    // worker re-polls it every iteration and carries no data through it.
-    while !control.stop.load(Ordering::Relaxed) {
-        ctx.beat(BeatPhase::Snapshot, step);
-        lsgd_fault::worker_step(step);
-        step += 1;
-        let iter_start = Instant::now();
-        let t0 = {
-            let _span = lsgd_trace::span(Phase::SnapshotRead);
-            shared.read_into(local) // unsynchronised copy
-        };
-        ctx.phase(BeatPhase::Grad);
-        let tc_start = Instant::now();
-        let loss = {
-            let _span = lsgd_trace::span(Phase::GradCompute);
-            problem.grad(local, grad, scratch, rng)
-        };
-        stats.tc.record(tc_start.elapsed().as_secs_f64());
-        if !loss.is_finite() {
-            // ORDERING: SeqCst pair — crash must be visible no later
-            // than stop in the single total order, so the monitor that
-            // sees stop cannot miss the crash verdict behind it.
-            control.crashed.store(true, Ordering::SeqCst);
-            // ORDERING: SeqCst — see above.
-            control.stop.store(true, Ordering::SeqCst);
-            break;
-        }
-        if let Some(frac) = cfg.sparsify {
-            crate::sparsify::sparsify_top_frac(grad, frac, &mut sparsify_scratch);
-        }
-        let eta = cfg
-            .eta_policy
-            .effective(cfg.eta, shared.current_seq().saturating_sub(t0));
-        let direction = fold_momentum(grad, &mut velocity, cfg.momentum);
-        ctx.phase(BeatPhase::Publish);
-        let tu_start = Instant::now();
-        let t_pub = {
-            let _span = lsgd_trace::span(Phase::Publish);
-            shared.update(direction, eta) // racy component updates
-        };
-        stats.tu.record(tu_start.elapsed().as_secs_f64());
-        stats.hists.staleness.record(t_pub - 1 - t0);
-        stats.published += 1;
-        // ORDERING: Relaxed — monotone progress tally; see above.
-        control.total_published.fetch_add(1, Ordering::Relaxed);
+        stats.failed_cas += out.failed_cas as u64;
         stats.iter_time.record(iter_start.elapsed().as_secs_f64());
     }
     stats

@@ -653,53 +653,19 @@ impl std::fmt::Debug for Handle {
     }
 }
 
-/// The process-global runtime. Sized by `LSGD_THREADS` (≥ 1), else by the
-/// deprecated `LSGD_GEMM_THREADS` (one-time stderr warning), else by
-/// `available_parallelism()`.
+/// The process-global runtime. Sized by `LSGD_THREADS` (≥ 1), else by
+/// `available_parallelism()`. Malformed or zero values fall back to the
+/// default with a one-time warning from the checked parser in
+/// `lsgd_check::env`.
 pub fn global() -> &'static Runtime {
     static GLOBAL: OnceLock<Runtime> = OnceLock::new();
-    GLOBAL.get_or_init(|| Runtime::new(default_threads()))
-}
-
-fn default_threads() -> usize {
-    let hw = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    // The shared checked parser warns once on malformed/zero values; the
-    // sizing precedence itself stays a pure function for tests.
-    let (n, legacy) = size_from_env(
-        lsgd_check::env::positive_usize("LSGD_THREADS"),
-        lsgd_check::env::positive_usize("LSGD_GEMM_THREADS"),
-        hw,
-    );
-    if legacy {
-        static WARNED: AtomicBool = AtomicBool::new(false);
-        // ORDERING: Relaxed — one-shot warning latch; emitting the warning
-        // twice under a race would be harmless.
-        if !WARNED.swap(true, Ordering::Relaxed) {
-            eprintln!(
-                "lsgd_runtime: LSGD_GEMM_THREADS is deprecated; \
-                 set LSGD_THREADS={n} instead (one runtime now sizes both \
-                 trainer workers and GEMM splits)"
-            );
-        }
-    }
-    n
-}
-
-/// Pure sizing rule, split out for tests: the primary knob wins, the
-/// deprecated legacy knob is honored second (reported via the bool),
-/// default last. Malformed/zero values arrive here as `None` — the
-/// checked parser in `lsgd_check::env` already rejected and reported
-/// them.
-fn size_from_env(primary: Option<usize>, legacy: Option<usize>, default: usize) -> (usize, bool) {
-    if let Some(n) = primary {
-        return (n, false);
-    }
-    if let Some(n) = legacy {
-        return (n, true);
-    }
-    (default, false)
+    GLOBAL.get_or_init(|| {
+        Runtime::new(lsgd_check::env::positive_usize("LSGD_THREADS").unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        }))
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -936,18 +902,6 @@ mod tests {
                 assert!(lens[0] - lens[lens.len() - 1] <= 1);
             }
         }
-    }
-
-    #[test]
-    fn size_from_env_precedence_and_deprecation() {
-        // Primary knob wins, no deprecation flag. (Malformed/zero values
-        // reach this function as `None` — `lsgd_check::env` rejects them
-        // with a one-time warning.)
-        assert_eq!(size_from_env(Some(3), Some(7), 8), (3, false));
-        // Legacy knob honored when primary is absent — flagged.
-        assert_eq!(size_from_env(None, Some(7), 8), (7, true));
-        // Neither knob set: the default.
-        assert_eq!(size_from_env(None, None, 6), (6, false));
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //!
 //! ```text
 //! cargo run --release --example sparse_logreg
-//! # override the shard count:
-//! LSGD_SHARDS=16 cargo run --release --example sparse_logreg
+//! # another shard count (0 = the dim/worker heuristic):
+//! cargo run --release --example sparse_logreg -- 16
 //! ```
 
 use leashed_sgd::core::prelude::*;
@@ -22,9 +22,11 @@ use std::time::Duration;
 
 fn main() {
     let dim = 8_192;
-    let shards = 64;
-    // What the trainer will actually use (honours LSGD_SHARDS; a
-    // configured 0 would select the dim/worker heuristic instead).
+    let shards = std::env::args()
+        .nth(1)
+        .map(|a| a.parse().expect("shard count must be a non-negative integer"))
+        .unwrap_or(64);
+    // What the trainer will actually use (0 selects the heuristic).
     let shards_eff = effective_shards(shards, dim, 4);
     let data = sparse_logreg(4_000, dim, 16, 11);
     println!(
@@ -101,7 +103,6 @@ fn main() {
         "\nThe sharded rows publish sparse (index, value) pairs: only the \
          \nshards owning a minibatch's tokens are copied + CASed, so the \
          \nmean dirty-shard count stays far below S={shards_eff} while SEQ/HOG \
-         \ntouch all d={dim} coordinates every update. `LSGD_SHARDS` \
-         \noverrides the shard count at runtime."
+         \ntouch all d={dim} coordinates every update."
     );
 }
