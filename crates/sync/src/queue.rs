@@ -545,6 +545,59 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
+    fn fifo_order() {
+        let q = SegQueue::new();
+        for i in 0..10 {
+            q.push(i);
+        }
+        for i in 0..10 {
+            assert_eq!(q.pop(), Some(i));
+        }
+        assert_eq!(q.pop(), None);
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn concurrent_push_pop_conserves_elements() {
+        let q = Arc::new(SegQueue::new());
+        let total: u64 = std::thread::scope(|s| {
+            for t in 0..4u64 {
+                let q = Arc::clone(&q);
+                s.spawn(move || {
+                    for i in 0..1_000u64 {
+                        q.push(t * 1_000 + i);
+                    }
+                });
+            }
+            let mut handles = Vec::new();
+            for _ in 0..2 {
+                let q = Arc::clone(&q);
+                handles.push(s.spawn(move || {
+                    let mut sum = 0u64;
+                    let mut misses = 0;
+                    while misses < 1_000 {
+                        match q.pop() {
+                            Some(v) => {
+                                sum += v;
+                                misses = 0;
+                            }
+                            None => {
+                                misses += 1;
+                                std::thread::yield_now();
+                            }
+                        }
+                    }
+                    sum
+                }));
+            }
+            handles.into_iter().map(|h| h.join().unwrap()).sum()
+        });
+        let drained: u64 = std::iter::from_fn(|| q.pop()).sum();
+        let expected: u64 = (0..4_000u64).sum();
+        assert_eq!(total + drained, expected);
+    }
+
+    #[test]
     fn fifo_order_within_and_across_segments() {
         let q = SegQueue::new();
         // 5 * LAP elements crosses several segment boundaries.
