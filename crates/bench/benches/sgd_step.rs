@@ -80,6 +80,9 @@ struct StepState<P: Problem, S: ParamStore> {
     local: S::Local,
     grad: Vec<f32>,
     pairs: Vec<(u32, f32)>,
+    /// Whether the problem has a sparse gradient; like the trainer's
+    /// worker, cleared by the first `grad_sparse` that answers `None`.
+    sparse: bool,
     scratch: P::Scratch,
     rng: SmallRng64,
 }
@@ -90,6 +93,7 @@ impl<P: Problem, S: ParamStore> StepState<P, S> {
             local: store.local(),
             grad: vec![0.0; problem.dim()],
             pairs: Vec::new(),
+            sparse: true,
             scratch: problem.scratch(),
             rng: SmallRng64::new(seed),
         }
@@ -97,21 +101,20 @@ impl<P: Problem, S: ParamStore> StepState<P, S> {
 }
 
 /// One full SGD step: read the shared parameters, compute a minibatch
-/// gradient (sparse where the store takes it and the problem has it),
-/// publish the scaled update.
+/// gradient (sparse where the problem has it), publish the scaled update.
 fn step<P: Problem, S: ParamStore>(problem: &P, store: &S, st: &mut StepState<P, S>) {
-    let mut sparse = false;
-    {
+    let sparse = {
         let (theta, _) = store.read(&mut st.local, SnapshotMode::Fast);
-        if S::SPARSE {
-            sparse = problem
+        if st.sparse {
+            st.sparse = problem
                 .grad_sparse(&theta, &mut st.pairs, &mut st.scratch, &mut st.rng)
                 .is_some();
         }
-        if !sparse {
+        if !st.sparse {
             problem.grad(&theta, &mut st.grad, &mut st.scratch, &mut st.rng);
         }
-    }
+        st.sparse
+    };
     let update = if sparse {
         Update::Sparse(&st.pairs)
     } else {

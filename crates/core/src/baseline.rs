@@ -51,10 +51,27 @@ impl LockedParams {
     /// Applies `theta -= eta * grad` under the lock (Algorithm 2 lines
     /// 15–17); returns the new sequence number.
     pub fn update(&self, grad: &[f32], eta: f32) -> u64 {
+        lsgd_trace::count(lsgd_trace::Counter::PublishDense);
         let mut guard = self.theta.lock();
         lsgd_tensor::ops::sgd_step(&mut guard, grad, eta);
         // ORDERING: SeqCst — seq labels share one total order; the data
         // itself is protected by the mutex.
+        self.seq.fetch_add(1, Ordering::SeqCst) + 1
+    }
+
+    /// [`update`](Self::update) for a sparse direction: applies
+    /// `theta[i] -= eta * v` for each `(i, v)` pair under the lock and
+    /// leaves every other coordinate untouched.
+    ///
+    /// # Panics
+    /// Panics if an index is out of range.
+    pub fn update_sparse(&self, pairs: &[(u32, f32)], eta: f32) -> u64 {
+        lsgd_trace::count(lsgd_trace::Counter::PublishSparse);
+        let mut guard = self.theta.lock();
+        for &(i, v) in pairs {
+            guard[i as usize] -= eta * v;
+        }
+        // ORDERING: SeqCst — as in `update`.
         self.seq.fetch_add(1, Ordering::SeqCst) + 1
     }
 
@@ -130,15 +147,28 @@ impl HogwildParams {
     /// 15–18 applied directly to the shared vector). Returns the new
     /// sequence number (`FetchAndAdd`, as in Algorithm 1 line 16).
     pub fn update(&self, grad: &[f32], eta: f32) -> u64 {
+        lsgd_trace::count(lsgd_trace::Counter::PublishDense);
         // ORDERING: SeqCst — the paper's FetchAndAdd total order on t.
         let t = self.seq.fetch_add(1, Ordering::SeqCst) + 1;
         for (a, &g) in self.theta.iter().zip(grad) {
-            // Racy RMW, exactly like the unsynchronised C++: concurrent
-            // updates to the same component can be lost.
-            // ORDERING: Relaxed — deliberately unsynchronised; see `get`.
-            let cur = f32::from_bits(a.load(Ordering::Relaxed));
-            // ORDERING: Relaxed — see above.
-            a.store((cur - eta * g).to_bits(), Ordering::Relaxed);
+            racy_sub(a, eta * g);
+        }
+        t
+    }
+
+    /// The sparse HOGWILD! update of Niu et al.: the same `FetchAndAdd`
+    /// and racy RMW as [`update`](Self::update), but only over the
+    /// coordinates the `(index, value)` pairs touch — O(k) instead of
+    /// O(d), and every other coordinate is left untouched.
+    ///
+    /// # Panics
+    /// Panics if an index is out of range.
+    pub fn update_sparse(&self, pairs: &[(u32, f32)], eta: f32) -> u64 {
+        lsgd_trace::count(lsgd_trace::Counter::PublishSparse);
+        // ORDERING: SeqCst — as in `update`.
+        let t = self.seq.fetch_add(1, Ordering::SeqCst) + 1;
+        for &(i, v) in pairs {
+            racy_sub(&self.theta[i as usize], eta * v);
         }
         t
     }
@@ -148,6 +178,17 @@ impl HogwildParams {
         // ORDERING: SeqCst — same total order as read_into/update.
         self.seq.load(Ordering::SeqCst)
     }
+}
+
+/// One HOGWILD! component write, `a -= delta`: a racy read-modify-write,
+/// exactly like the unsynchronised C++, so concurrent updates to the same
+/// component can be lost.
+#[inline]
+fn racy_sub(a: &AtomicU32, delta: f32) {
+    // ORDERING: Relaxed — deliberately unsynchronised; see `get`.
+    let cur = f32::from_bits(a.load(Ordering::Relaxed));
+    // ORDERING: Relaxed — see above.
+    a.store((cur - delta).to_bits(), Ordering::Relaxed);
 }
 
 impl Drop for HogwildParams {
@@ -162,9 +203,10 @@ pub struct CopyRead {
     seq: u64,
 }
 
-/// SEQ / ASYNC (Algorithm 2: lock, copy or axpy, unlock) and HOGWILD!
+/// SEQ / ASYNC (Algorithm 2: lock, copy or apply, unlock) and HOGWILD!
 /// (Algorithm 4: racy per-component copy and RMW) share one shape: `Tu`
-/// is one timed `update` call, and the sequence numbers give τ.
+/// is one timed `update` or `update_sparse` call, and the sequence
+/// numbers give τ.
 macro_rules! copy_on_read_store {
     ($store:ty) => {
         impl ParamStore for $store {
@@ -196,7 +238,10 @@ macro_rules! copy_on_read_store {
                 mut on_attempt: impl FnMut(f64),
             ) -> Publication {
                 let start = Instant::now();
-                let t_pub = self.update(update.expect_dense(), eta);
+                let t_pub = match update {
+                    Update::Dense(g) => self.update(g, eta),
+                    Update::Sparse(pairs) => self.update_sparse(pairs, eta),
+                };
                 on_attempt(start.elapsed().as_secs_f64());
                 Publication {
                     published: true,
@@ -290,6 +335,91 @@ mod tests {
             assert!(v <= 8000.0 + 0.5);
             assert!(v > 0.0);
         }
+    }
+
+    /// θ with a signed zero, a subnormal and mixed magnitudes, so an
+    /// untouched coordinate that is rewritten shows in its bits.
+    const INIT: [f32; 8] = [0.3, -1.7, 2.5, 1e-3, -0.0, 7.0, 1e-40, -4.2];
+    /// Ascending pairs; coordinate 3's batch sum cancelled to exactly 0.
+    const PAIRS: [(u32, f32); 4] = [(0, 0.25), (3, 0.0), (5, -1.5), (7, 3.0)];
+    const ETA: f32 = 0.37;
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Publishes `PAIRS` sparse on one store and as a dense direction
+    /// with zeros elsewhere on another: same θ bitwise, same publication.
+    fn sparse_matches_dense<S: ParamStore>(make: impl Fn() -> S) {
+        let mut dense_dir = [0.0f32; 8];
+        for &(i, v) in &PAIRS {
+            dense_dir[i as usize] = v;
+        }
+        let mut after = Vec::new();
+        for update in [Update::Dense(&dense_dir), Update::Sparse(&PAIRS)] {
+            let store = make();
+            let mut local = store.local();
+            drop(store.read(&mut local, SnapshotMode::Fast));
+            let out = store.publish(&local, update, ETA, None, |_| {});
+            let mut theta = [0.0f32; 8];
+            store.monitor_snapshot(&mut theta);
+            after.push((out, bits(&theta)));
+        }
+        assert_eq!(after[0], after[1]);
+        assert_ne!(after[0].1, bits(&INIT), "the update had no effect");
+    }
+
+    #[test]
+    fn locked_sparse_update_matches_dense_bitwise() {
+        sparse_matches_dense(|| LockedParams::new(INIT.to_vec(), gauge()));
+    }
+
+    #[test]
+    fn hogwild_sparse_update_matches_dense_bitwise() {
+        sparse_matches_dense(|| HogwildParams::new(&INIT, gauge()));
+    }
+
+    #[test]
+    fn hogwild_sparse_update_leaves_untouched_coordinates_alone() {
+        let p = HogwildParams::new(&INIT, gauge());
+        assert_eq!(p.update_sparse(&PAIRS, ETA), 1);
+        for (i, &init) in INIT.iter().enumerate() {
+            if PAIRS.iter().all(|&(j, _)| j as usize != i) {
+                assert_eq!(p.get(i).to_bits(), init.to_bits(), "coordinate {i}");
+            }
+        }
+        assert_eq!(p.get(0), INIT[0] - ETA * 0.25);
+    }
+
+    #[test]
+    fn hogwild_sparse_updates_on_disjoint_coordinates_lose_nothing() {
+        const THREADS: usize = 4;
+        const ROUNDS: usize = 2000;
+        // Interleaved ownership: neighbouring coordinates, written by
+        // different threads, share cache lines.
+        let dim = 64;
+        let p = HogwildParams::new(&vec![0.0; dim], gauge());
+        let start = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (p, start) = (&p, &start);
+                s.spawn(move || {
+                    let pairs: Vec<(u32, f32)> = (t..dim)
+                        .step_by(THREADS)
+                        .map(|i| (i as u32, -1.0))
+                        .collect();
+                    start.wait();
+                    for _ in 0..ROUNDS {
+                        p.update_sparse(&pairs, 1.0); // += 1 per owned coordinate
+                    }
+                });
+            }
+        });
+        assert_eq!(p.current_seq(), (THREADS * ROUNDS) as u64);
+        let mut buf = vec![0.0; dim];
+        p.read_into(&mut buf);
+        // Each component has one writer, so no racy RMW is ever lost.
+        assert!(buf.iter().all(|&v| v == ROUNDS as f32), "{buf:?}");
     }
 
     #[test]

@@ -519,7 +519,8 @@ impl LeashedShared {
 /// Leashed-SGD (Algorithm 3). The gradient is computed straight from the
 /// published buffer — the zero-copy read of paper P3 — so the local state
 /// is the read's sequence number and a worker holds one vector, its
-/// gradient.
+/// gradient. A sparse update still copies all `d` coordinates per
+/// attempt, but applies only its pairs.
 impl ParamStore for LeashedShared {
     type Local = u64;
     type View<'a> = ReadGuard<'a>;
@@ -548,7 +549,13 @@ impl ParamStore for LeashedShared {
         persistence: Option<u32>,
         on_attempt: impl FnMut(f64),
     ) -> Publication {
-        match self.publish_update(update.expect_dense(), eta, persistence, on_attempt) {
+        let out = match update {
+            Update::Dense(g) => self.publish_update(g, eta, persistence, on_attempt),
+            Update::Sparse(pairs) => {
+                self.publish_update_sparse(pairs, 0, eta, persistence, on_attempt)
+            }
+        };
+        match out {
             PublishOutcome::Published {
                 t_new,
                 t_first_base,
@@ -653,6 +660,28 @@ mod tests {
         assert!(matches!(out, PublishOutcome::Published { t_new: 1, .. }));
         assert_eq!(dense.latest().theta(), sparse.latest().theta());
         assert_eq!(sparse.latest().theta(), &[1.0, 0.0, 1.0, 1.0, 3.0, 1.0]);
+    }
+
+    #[test]
+    fn store_sparse_publish_matches_dense_publish() {
+        let init = [0.5, -2.0, 3.25, -0.0, 1e-40, 8.0];
+        let pairs = [(1, 2.0), (2, 0.0), (4, -4.0)];
+        let dense_dir = [0.0, 2.0, 0.0, 0.0, -4.0, 0.0];
+        let mut after = Vec::new();
+        for update in [Update::Dense(&dense_dir), Update::Sparse(&pairs)] {
+            let pool = BufferPool::new(init.len(), Arc::new(MemoryGauge::new()));
+            let s = LeashedShared::new(&init, pool);
+            // One competing publish after the read, so τ is 1.
+            let mut local = 0;
+            drop(s.read(&mut local, SnapshotMode::Fast));
+            s.publish_update(&[1.0; 6], 0.125, None, |_| {});
+            let out = s.publish(&local, update, 0.5, None, |_| {});
+            let theta: Vec<u32> = s.latest().theta().iter().map(|v| v.to_bits()).collect();
+            after.push((out, theta));
+        }
+        assert_eq!(after[0], after[1]);
+        assert_eq!(after[1].0.tau, 1);
+        assert!(after[1].0.published);
     }
 
     #[test]

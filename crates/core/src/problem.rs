@@ -47,9 +47,12 @@ pub trait Problem: Send + Sync {
     /// Sparse-gradient path: computes a stochastic minibatch gradient as
     /// **ascending** `(index, value)` pairs written into `pairs` and
     /// returns the minibatch loss, or `None` when the problem has no
-    /// native sparse representation (the default). The sharded trainer
-    /// prefers this path — pairs flow straight into the dirty-shard
-    /// publication without touching a dense buffer.
+    /// native sparse representation (the default). The answer is fixed
+    /// per problem: a problem returns `None` on every call or on none.
+    /// The trainer prefers this path whenever momentum is 0 and top-k
+    /// sparsification is off — pairs flow straight into every store's
+    /// sparse publish without touching a dense buffer — and a worker
+    /// stops asking after the first `None`.
     fn grad_sparse(
         &self,
         _theta: &[f32],
@@ -243,11 +246,10 @@ impl Problem for RegressionProblem {
 }
 
 /// High-dimensional sparse logistic regression over [`SparseLogReg`]
-/// minibatches — the workload exercising the sharded dirty-shard
-/// publication path. Implements both the dense [`Problem::grad`] (for
-/// SEQ/ASYNC/HOG) and the native sparse [`Problem::grad_sparse`] (for
-/// sharded Leashed-SGD): one minibatch touches only the union of its
-/// documents' token coordinates.
+/// minibatches — the workload exercising the sparse publication paths.
+/// Implements both the dense [`Problem::grad`] and the native sparse
+/// [`Problem::grad_sparse`] the trainer prefers: one minibatch touches
+/// only the union of its documents' token coordinates.
 pub struct SparseLogRegProblem {
     data: SparseLogReg,
     batch: usize,

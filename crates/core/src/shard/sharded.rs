@@ -315,8 +315,6 @@ impl ParamStore for ShardedShared {
     type Local = ShardedRead;
     type View<'a> = &'a [f32];
 
-    const SPARSE: bool = true;
-
     fn local(&self) -> ShardedRead {
         ShardedRead {
             theta: vec![0.0; self.dim()],

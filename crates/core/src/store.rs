@@ -8,14 +8,15 @@
 //! the same two places. This trait carries exactly those differences, so
 //! everything else in the loop lives once, in [`crate::trainer`].
 //!
-//! | store             | read                        | publish                      |
-//! |-------------------|-----------------------------|------------------------------|
-//! | [`LockedParams`]  | copy under the lock         | axpy under the lock          |
-//! | [`HogwildParams`] | racy per-component copy     | racy per-component RMW       |
-//! | [`LeashedShared`] | zero-copy counted read (P3) | LAU-SPC: copy, apply, CAS    |
-//! | [`ShardedShared`] | per-shard reads, gathered   | LAU-SPC on dirty shards only |
+//! | store             | read                        | publish                                |
+//! |-------------------|-----------------------------|----------------------------------------|
+//! | [`LockedParams`]  | copy under the lock         | axpy or sparse pairs under the lock    |
+//! | [`HogwildParams`] | racy per-component copy     | racy RMW of the touched components     |
+//! | [`LeashedShared`] | zero-copy counted read (P3) | LAU-SPC: copy, apply dense/pairs, CAS  |
+//! | [`ShardedShared`] | per-shard reads, gathered   | LAU-SPC on dirty shards only           |
 //!
-//! Each store implements the trait in its own module.
+//! Every store takes both [`Update`] forms. Each store implements the
+//! trait in its own module.
 //!
 //! [`LockedParams`]: crate::baseline::LockedParams
 //! [`HogwildParams`]: crate::baseline::HogwildParams
@@ -32,18 +33,9 @@ use std::sync::Arc;
 pub enum Update<'a> {
     /// A dense direction of length `d`.
     Dense(&'a [f32]),
-    /// Ascending `(index, value)` pairs; only for [`ParamStore::SPARSE`]
-    /// stores.
+    /// Ascending `(index, value)` pairs, each index below `d`; every
+    /// other coordinate is left untouched.
     Sparse(&'a [(u32, f32)]),
-}
-
-impl<'a> Update<'a> {
-    pub(crate) fn expect_dense(self) -> &'a [f32] {
-        match self {
-            Update::Dense(g) => g,
-            Update::Sparse(_) => unreachable!("sparse update sent to a dense-only store"),
-        }
-    }
 }
 
 /// What one publication did, in the terms the trainer accounts in.
@@ -74,9 +66,6 @@ pub trait ParamStore: Sync {
     type View<'a>: Deref<Target = [f32]>
     where
         Self: 'a;
-
-    /// Whether [`publish`](Self::publish) takes [`Update::Sparse`].
-    const SPARSE: bool = false;
 
     /// Parameter-sized vectors each worker holds (the paper's Fig. 10
     /// memory model): the gradient, plus a local copy of θ unless the

@@ -605,8 +605,10 @@ fn run_worker<P: Problem, S: ParamStore>(
     let mut velocity: Vec<f32> = Vec::new();
     // The sparse-native gradient bypasses the dense buffer entirely;
     // momentum needs a dense velocity fold and top-k sparsification its
-    // own selection, so either forces the dense path.
-    let sparse_native = S::SPARSE && cfg.momentum == 0.0 && cfg.sparsify.is_none();
+    // own selection, so either forces the dense path. A problem without a
+    // sparse gradient says so on the first call, and the answer is fixed
+    // per problem, so the worker stays dense from then on.
+    let mut sparse_native = cfg.momentum == 0.0 && cfg.sparsify.is_none();
     let mut step: u64 = 0;
     // ORDERING: Relaxed — stop is an eventually-observed flag; the
     // worker re-polls it every iteration and carries no data through it.
@@ -629,6 +631,7 @@ fn run_worker<P: Problem, S: ParamStore>(
             if sparse_native {
                 loss = problem.grad_sparse(&theta, &mut pairs, &mut scratch, &mut rng);
                 sparse = loss.is_some();
+                sparse_native = sparse;
             }
             let loss =
                 loss.unwrap_or_else(|| problem.grad(&theta, &mut grad, &mut scratch, &mut rng));
@@ -645,9 +648,9 @@ fn run_worker<P: Problem, S: ParamStore>(
             break;
         }
         if let Some(frac) = cfg.sparsify {
-            if S::SPARSE && cfg.momentum == 0.0 {
-                // Index extraction feeds the dirty-shard path directly —
-                // no zeroing pass, no dense re-scan at publish time.
+            if cfg.momentum == 0.0 {
+                // Index extraction feeds the sparse publish directly — no
+                // zeroing pass, no dense re-scan at publish time.
                 crate::sparsify::sparsify_top_frac_indices(
                     &grad,
                     frac,

@@ -435,6 +435,118 @@ fn sharded_trainer_exploits_sparse_logreg_gradients() {
     );
 }
 
+/// Counts `grad` and `grad_sparse` calls, delegating both.
+struct CountingGrad<P> {
+    inner: P,
+    dense: AtomicU64,
+    sparse: AtomicU64,
+}
+
+impl<P> CountingGrad<P> {
+    fn new(inner: P) -> Self {
+        CountingGrad {
+            inner,
+            dense: AtomicU64::new(0),
+            sparse: AtomicU64::new(0),
+        }
+    }
+
+    fn calls(&self) -> (u64, u64) {
+        // ORDERING: Relaxed — read after `train` joined every worker.
+        (
+            self.dense.load(Ordering::Relaxed),
+            self.sparse.load(Ordering::Relaxed),
+        )
+    }
+}
+
+impl<P: Problem> Problem for CountingGrad<P> {
+    type Scratch = P::Scratch;
+
+    fn dim(&self) -> usize {
+        self.inner.dim()
+    }
+
+    fn init_theta(&self, seed: u64) -> Vec<f32> {
+        self.inner.init_theta(seed)
+    }
+
+    fn scratch(&self) -> Self::Scratch {
+        self.inner.scratch()
+    }
+
+    fn grad(
+        &self,
+        theta: &[f32],
+        grad: &mut [f32],
+        scratch: &mut Self::Scratch,
+        rng: &mut lsgd_tensor::SmallRng64,
+    ) -> f32 {
+        // ORDERING: Relaxed — a call tally, read only after the run.
+        self.dense.fetch_add(1, Ordering::Relaxed);
+        self.inner.grad(theta, grad, scratch, rng)
+    }
+
+    fn eval_loss(&self, theta: &[f32], scratch: &mut Self::Scratch) -> f64 {
+        self.inner.eval_loss(theta, scratch)
+    }
+
+    fn grad_sparse(
+        &self,
+        theta: &[f32],
+        pairs: &mut Vec<(u32, f32)>,
+        scratch: &mut Self::Scratch,
+        rng: &mut lsgd_tensor::SmallRng64,
+    ) -> Option<f32> {
+        // ORDERING: Relaxed — a call tally, read only after the run.
+        self.sparse.fetch_add(1, Ordering::Relaxed);
+        self.inner.grad_sparse(theta, pairs, scratch, rng)
+    }
+}
+
+#[test]
+fn every_store_takes_the_sparse_path_and_dense_problems_are_asked_once() {
+    let algorithms = [
+        Algorithm::Sequential,
+        Algorithm::AsyncLock,
+        Algorithm::Hogwild,
+        Algorithm::Leashed { persistence: None },
+        Algorithm::ShardedLeashed {
+            persistence: None,
+            shards: 8,
+            snapshot: SnapshotMode::Fast,
+        },
+    ];
+    for algorithm in algorithms {
+        let mut cfg = quick_cfg(algorithm, 2);
+        cfg.epsilons = vec![1e-12]; // only the update budget ends the run
+        cfg.max_updates = 300;
+
+        // A sparse problem never needs a dense gradient.
+        let data = lsgd_data::sparse_logreg::sparse_logreg(800, 2048, 12, 23);
+        let p = CountingGrad::new(SparseLogRegProblem::new(data, 16));
+        let r = train(&p, &cfg);
+        let (dense, sparse) = p.calls();
+        assert_eq!(dense, 0, "{}", r.summary());
+        assert!(
+            sparse >= r.published,
+            "{sparse} sparse calls: {}",
+            r.summary()
+        );
+
+        // A dense problem answers `None` once per worker, then stays dense.
+        let p = CountingGrad::new(blob_problem(31));
+        let r = train(&p, &cfg);
+        let (dense, sparse) = p.calls();
+        assert!(
+            sparse <= r.threads as u64,
+            "{sparse} sparse calls: {}",
+            r.summary()
+        );
+        assert!(dense >= r.published, "{dense} dense calls: {}", r.summary());
+    }
+}
+
 #[test]
 fn sharded_s1_matches_unsharded_loss_quality() {
     // S = 1 is a single publication domain: the sharded trainer must be

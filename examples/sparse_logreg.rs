@@ -2,12 +2,15 @@
 //! ParameterVector is built for.
 //!
 //! A high-dimensional text-like instance (power-law token frequencies,
-//! L2-normalised log-tf rows) trained with SEQ, HOGWILD!, and sharded
-//! Leashed-SGD. The sharded runs use the native sparse-gradient path:
-//! each minibatch publishes only `(index, value)` pairs, so only the
-//! shards owning touched coordinates are copied + CASed — watch the
-//! dirty-shard column sit far below S while the unsharded algorithms pay
-//! the full dimension every update.
+//! L2-normalised log-tf rows) trained with SEQ, HOGWILD!, Leashed-SGD and
+//! sharded Leashed-SGD. Every run uses the native sparse-gradient path:
+//! each minibatch publishes only `(index, value)` pairs. SEQ and HOG
+//! write just those coordinates; unsharded Leashed-SGD still copies all
+//! d coordinates per publish before applying the pairs, while the
+//! sharded runs copy + CAS only the shards owning touched coordinates —
+//! watch the dirty-shard column sit below S.
+//!
+//! Exits nonzero if any run fails to converge.
 //!
 //! ```text
 //! cargo run --release --example sparse_logreg
@@ -41,6 +44,9 @@ fn main() {
     let algos = [
         Algorithm::Sequential,
         Algorithm::Hogwild,
+        Algorithm::Leashed {
+            persistence: Some(1),
+        },
         Algorithm::ShardedLeashed {
             persistence: Some(1),
             shards,
@@ -56,6 +62,7 @@ fn main() {
         "\n{:<22} {:>10} {:>12} {:>10} {:>10} {:>14}",
         "algo", "50% time", "updates/s", "logloss", "converged", "dirty shards"
     );
+    let mut unconverged = Vec::new();
     for algo in algos {
         let cfg = TrainConfig {
             algorithm: algo,
@@ -97,12 +104,20 @@ fn main() {
         if !report.is_empty() {
             print!("{report}");
         }
+        if !r.fully_converged() {
+            unconverged.push(algo.label());
+        }
     }
 
     println!(
-        "\nThe sharded rows publish sparse (index, value) pairs: only the \
-         \nshards owning a minibatch's tokens are copied + CASed, so the \
-         \nmean dirty-shard count stays far below S={shards_eff} while SEQ/HOG \
-         \ntouch all d={dim} coordinates every update."
+        "\nEvery row publishes sparse (index, value) pairs: SEQ/HOG write \
+         \nonly a minibatch's tokens, LSH copies all d={dim} coordinates and \
+         \napplies the pairs, and the sharded rows copy + CAS only the shards \
+         \nowning those tokens, so the mean dirty-shard count stays below \
+         \nS={shards_eff}."
     );
+    if !unconverged.is_empty() {
+        eprintln!("not converged: {}", unconverged.join(", "));
+        std::process::exit(1);
+    }
 }
